@@ -150,7 +150,7 @@ func run(args []string, out, errw io.Writer) error {
 		router.Instrument(reg)
 		allocs := make([]sim.MultiAllocator, *links)
 		for i := range allocs {
-			a, err := makePolicy(*policy, m, *bo/int64(*links), *do)
+			a, err := core.NewPolicy(*policy, m, *bo/int64(*links), *do)
 			if err != nil {
 				return err
 			}
@@ -171,7 +171,7 @@ func run(args []string, out, errw io.Writer) error {
 		m := *k / *shards
 		allocs := make([]sim.MultiAllocator, *shards)
 		for i := range allocs {
-			a, err := makePolicy(*policy, m, *bo/int64(*shards), *do)
+			a, err := core.NewPolicy(*policy, m, *bo/int64(*shards), *do)
 			if err != nil {
 				return err
 			}
@@ -183,7 +183,7 @@ func run(args []string, out, errw io.Writer) error {
 		cfg.Shards = *shards
 		cfg.ShardAllocs = allocs
 	} else {
-		alloc, err := makePolicy(*policy, *k, *bo, *do)
+		alloc, err := core.NewPolicy(*policy, *k, *bo, *do)
 		if err != nil {
 			return err
 		}
@@ -324,28 +324,32 @@ func printProfile(out io.Writer, p gateway.Profile) {
 // streamClient opens a session and submits bursty traffic until the
 // duration elapses or ctx is canceled. With batch > 1 bursts are
 // accumulated and shipped batch-at-a-time as one BATCH wire frame
-// (Client.SendN); the tail is flushed before the client exits.
+// (Mux.SendBatch); the tail is flushed before the client exits.
 func streamClient(ctx context.Context, addr string, seed uint64, rate int64, tick, duration time.Duration, batch int) error {
-	c, err := gateway.DialSession(addr, time.Second)
+	m, err := gateway.DialMux(addr, time.Second)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer m.Close()
+	id, err := m.Open()
+	if err != nil {
+		return err
+	}
 	src := rng.New(seed)
-	var pending []bw.Bits
+	var pending []gateway.BatchItem
 	deadline := time.Now().Add(duration)
 	for time.Now().Before(deadline) {
 		if src.Bool(0.4) {
 			burst := bw.Bits(src.Int64n(bw.Max(2*rate, 2)))
 			if batch > 1 {
-				pending = append(pending, burst)
+				pending = append(pending, gateway.BatchItem{Session: id, Bits: burst})
 				if len(pending) >= batch {
-					if err := c.SendN(pending); err != nil {
+					if err := m.SendBatch(pending); err != nil {
 						return err
 					}
 					pending = pending[:0]
 				}
-			} else if err := c.Send(burst); err != nil {
+			} else if err := m.Send(id, burst); err != nil {
 				return err
 			}
 		}
@@ -355,12 +359,7 @@ func streamClient(ctx context.Context, addr string, seed uint64, rate int64, tic
 		case <-time.After(tick):
 		}
 	}
-	if len(pending) > 0 {
-		if err := c.SendN(pending); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.SendBatch(pending)
 }
 
 // makeRouter builds the multi-link placement policy over `links` links
@@ -376,19 +375,5 @@ func makeRouter(name string, links, m int, reserve int64, seed uint64) (*route.P
 		return route.NewP2C(caps, seed), nil
 	default:
 		return nil, fmt.Errorf("unknown route policy %q", name)
-	}
-}
-
-func makePolicy(name string, k int, bo, do int64) (sim.MultiAllocator, error) {
-	switch name {
-	case "phased":
-		return core.NewPhased(core.MultiParams{K: k, BO: bo, DO: do})
-	case "continuous":
-		return core.NewContinuous(core.MultiParams{K: k, BO: bo, DO: do})
-	case "combined":
-		ba := bw.NextPow2(8 * bo)
-		return core.NewCombined(core.CombinedParams{K: k, BA: ba, DO: do, UO: 0.5, W: 2 * do})
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
 	}
 }

@@ -198,3 +198,9 @@ func TestPhasedStageAccounting(t *testing.T) {
 		t.Errorf("Stages = %d, Resets = %d, want Stages = Resets+1", st.Stages, st.Resets)
 	}
 }
+
+func TestNewPolicyUnknown(t *testing.T) {
+	if _, err := NewPolicy("nope", 4, 64, 8); err == nil {
+		t.Error("unknown policy accepted")
+	}
+}

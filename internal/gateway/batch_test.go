@@ -31,39 +31,28 @@ func batchFrame(count int, payload ...[]byte) []byte {
 func TestClientSendNRoundTrip(t *testing.T) {
 	g, ticks := startGateway(t, 2)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	bits := make([]bw.Bits, 100)
+	m, ids := openMux(t, g.Addr(), 1)
+	items := make([]BatchItem, 100)
 	var want bw.Bits
-	for i := range bits {
-		bits[i] = bw.Bits(i + 1)
-		want += bits[i]
+	for i := range items {
+		items[i] = BatchItem{Session: ids[0], Bits: bw.Bits(i + 1)}
+		want += items[i].Bits
 	}
-	if err := c.SendN(bits); err != nil {
+	if err := m.SendBatch(items); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stats(); err != nil { // sync: batch fully applied
+	if _, err := m.Stats(ids[0]); err != nil { // sync: batch fully applied
 		t.Fatal(err)
 	}
 	for i := 0; i < 400; i++ {
 		ticks.tick()
 	}
-	st, err := c.Stats()
+	st, err := m.Stats(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Served+st.Queued != want {
 		t.Errorf("served %d + queued %d != %d", st.Served, st.Queued, want)
-	}
-
-	if err := c.SendN(nil); err != nil {
-		t.Errorf("empty SendN: %v", err)
-	}
-	if err := c.SendN([]bw.Bits{1, -1}); err == nil {
-		t.Error("negative payload accepted")
 	}
 }
 
@@ -127,12 +116,6 @@ func TestMuxSendBatchRoundTrip(t *testing.T) {
 
 	if err := m.SendBatch(nil); err != nil {
 		t.Errorf("empty SendBatch: %v", err)
-	}
-	if err := m.SendBatch([]BatchItem{{Session: 9999, Bits: 1}}); err == nil {
-		t.Error("unowned session accepted")
-	}
-	if err := m.SendBatch([]BatchItem{{Session: sessions[0], Bits: -1}}); err == nil {
-		t.Error("negative bits accepted")
 	}
 	if _, err := m.StatsBatch([]uint32{9999}); err == nil {
 		t.Error("StatsBatch on unowned session accepted")
@@ -289,50 +272,65 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	})
 }
 
-// TestBatchTraceEnvelope: TRACE envelopes ride inside BATCH frames and
-// produce client spans without counting against the batch's message
+// TestBatchTraceEnvelope: TRACE envelopes ride inside BATCH frames —
+// SendBatch's DATA and StatsBatch's STATS alike — and produce one
+// client span per message without counting against the batch's message
 // count.
 func TestBatchTraceEnvelope(t *testing.T) {
-	g, _, _, ring := startTraced(t, 4, 1, 1<<20) // no local sampling
-	defer g.Close()
-	m, err := DialMux(g.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	id, err := m.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.TraceEvery(1) // every item gets an envelope
-	items := []BatchItem{{Session: id, Bits: 1}, {Session: id, Bits: 2}, {Session: id, Bits: 3}}
-	if err := m.SendBatch(items); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Stats(id); err != nil { // sync
-		t.Fatal(err)
-	}
-	var dataSpans int
-	for _, s := range ring.Snapshot() {
-		if s.Kind == "data" {
-			dataSpans++
-			if !s.Client {
-				t.Errorf("batched traced span not client-minted: %+v", s)
+	const n = 3
+	for _, tc := range []struct {
+		kind    string
+		run     func(m *Mux, ids []uint32) error
+		pending bw.Bits // bits the batch leaves pending across the sessions
+	}{
+		{"data", func(m *Mux, ids []uint32) error {
+			items := make([]BatchItem, len(ids))
+			for i, id := range ids {
+				items[i] = BatchItem{Session: id, Bits: bw.Bits(i + 1)}
 			}
-			if s.Session != int(id) {
-				t.Errorf("span session = %d, want %d", s.Session, id)
+			return m.SendBatch(items)
+		}, 6},
+		{"stats", func(m *Mux, ids []uint32) error {
+			_, err := m.StatsBatch(ids)
+			return err
+		}, 0},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			g, _, _, ring := startTraced(t, n, 1, 1<<20) // no local sampling
+			defer g.Close()
+			m, ids := openMux(t, g.Addr(), n)
+			m.TraceEvery(1) // every batched message gets an envelope
+			if err := tc.run(m, ids); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if dataSpans != len(items) {
-		t.Errorf("got %d traced data spans, want %d", dataSpans, len(items))
-	}
-	sh := g.shards[0]
-	sh.mu.Lock()
-	pending := sh.pending[sh.slot(int(id))]
-	sh.mu.Unlock()
-	if pending != 6 {
-		t.Errorf("pending = %d, want 6", pending)
+			m.TraceEvery(0)
+			if _, err := m.Stats(ids[0]); err != nil { // sync
+				t.Fatal(err)
+			}
+			traced := map[int]bool{}
+			for _, s := range ring.Snapshot() {
+				if s.Kind != tc.kind {
+					continue
+				}
+				if !s.Client {
+					t.Errorf("batched traced span not client-minted: %+v", s)
+				}
+				traced[s.Session] = true
+			}
+			if len(traced) != n {
+				t.Errorf("got traced %s spans for %d sessions, want %d", tc.kind, len(traced), n)
+			}
+			sh := g.shards[0]
+			sh.mu.Lock()
+			var pending bw.Bits
+			for _, id := range ids {
+				pending += sh.pending[sh.slot(int(id))]
+			}
+			sh.mu.Unlock()
+			if pending != tc.pending {
+				t.Errorf("pending = %d, want %d", pending, tc.pending)
+			}
+		})
 	}
 }
 

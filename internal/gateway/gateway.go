@@ -1,11 +1,11 @@
 // Package gateway is the paper's multi-session scenario as a running
 // service: an IP provider accepting client sessions over TCP, queueing
 // their traffic, and dividing a shared bandwidth pool among them with one
-// of the Section 3/4 algorithms, tick by tick. It composes the live
-// runtime model of internal/runtime with the multi-session allocators of
-// internal/core, and exposes the same accounting the simulator reports —
+// of the Section 3/4 algorithms, tick by tick. It drives the
+// multi-session allocators of internal/core from a wall-clock tick
+// source and exposes the same accounting the simulator reports —
 // per-session delays and allocation changes — for a system that is
-// actually serving clients.
+// actually serving clients. Mux is its wire client.
 //
 // Wire protocol (big endian over TCP):
 //
@@ -98,9 +98,9 @@ const (
 )
 
 // MaxBatch is the maximum number of logical messages one BATCH frame may
-// carry; a larger wire count is a protocol violation. Client batch
-// helpers (Client.SendN, Mux.SendBatch, Mux.StatsBatch) split longer
-// inputs into multiple frames transparently.
+// carry; a larger wire count is a protocol violation. The client batch
+// calls (Mux.SendBatch, Mux.StatsBatch) split longer inputs into
+// multiple frames transparently.
 const MaxBatch = 4096
 
 // Buffered-endpoint sizes for the per-connection pooled reader/writer.

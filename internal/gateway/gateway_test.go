@@ -48,32 +48,48 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSessionLifecycle(t *testing.T) {
-	g, ticks := startGateway(t, 2)
-	c, err := DialSession(g.Addr(), time.Second)
+// openMux dials the gateway and opens n sessions on one Mux, which is
+// closed when the test ends.
+func openMux(t *testing.T, addr string, n int) (*Mux, []uint32) {
+	t.Helper()
+	m, err := DialMux(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(64); err != nil {
+	t.Cleanup(func() { m.Close() })
+	ids := make([]uint32, n)
+	for i := range ids {
+		if ids[i], err = m.Open(); err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+	}
+	return m, ids
+}
+
+func TestSessionLifecycle(t *testing.T) {
+	g, ticks := startGateway(t, 2)
+	m, ids := openMux(t, g.Addr(), 1)
+	id := ids[0]
+	if err := m.Send(id, 64); err != nil {
 		t.Fatal(err)
 	}
 	// Stats round-trips through the same connection, so the DATA message
 	// is guaranteed processed before the STATS request.
-	if _, err := c.Stats(); err != nil {
+	if _, err := m.Stats(id); err != nil {
 		t.Fatal(err)
 	}
 	// Run enough ticks for the phased algorithm to serve 64 bits.
 	for i := 0; i < 40; i++ {
 		ticks.tick()
 	}
-	st, err := c.Stats()
+	st, err := m.Stats(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Served+st.Queued != 64 {
 		t.Errorf("served %d + queued %d != 64", st.Served, st.Queued)
 	}
-	c.Close()
+	m.Close()
 	stats := g.Close()
 	if stats.Served+stats.Queued != 64 {
 		t.Errorf("gateway accounting: %+v", stats)
@@ -83,16 +99,15 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionSlotsExhaustAndRecycle: a connection that hangs up without
+// CLOSE gives its slots back once the gateway notices the disconnect.
 func TestSessionSlotsExhaustAndRecycle(t *testing.T) {
 	g, _ := startGateway(t, 1)
 	defer g.Close()
 
-	first, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second open must fail (the gateway drops the connection).
-	if _, err := DialSession(g.Addr(), time.Second); err == nil {
+	first, _ := openMux(t, g.Addr(), 1)
+	second, _ := openMux(t, g.Addr(), 0)
+	if _, err := second.Open(); err == nil {
 		t.Fatal("second session on a 1-slot gateway accepted")
 	}
 	first.Close()
@@ -100,9 +115,7 @@ func TestSessionSlotsExhaustAndRecycle(t *testing.T) {
 	// retry briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		c, err := DialSession(g.Addr(), time.Second)
-		if err == nil {
-			c.Close()
+		if _, err := second.Open(); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -122,28 +135,18 @@ func TestGatewayServesMultipleSessionsWithDelayBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	clients := make([]*Client, k)
-	for i := range clients {
-		c, err := DialSession(g.Addr(), time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	// Bursty rounds: each client sends a small burst, then ticks pass.
+	m, ids := openMux(t, g.Addr(), k)
+	// Bursty rounds: each session sends a small burst, then ticks pass.
 	for round := 0; round < 20; round++ {
-		for i, c := range clients {
-			if err := c.Send(bw.Bits(4 + 2*i)); err != nil {
+		for i, id := range ids {
+			if err := m.Send(id, bw.Bits(4+2*i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Synchronize: a stats round-trip per client guarantees the
-		// DATA messages are queued before the next tick.
-		for _, c := range clients {
-			if _, err := c.Stats(); err != nil {
-				t.Fatal(err)
-			}
+		// Synchronize: a stats round-trip on the shared connection
+		// guarantees the DATA messages are queued before the next tick.
+		if _, err := m.Stats(ids[0]); err != nil {
+			t.Fatal(err)
 		}
 		for j := 0; j < 4; j++ {
 			ticks.tick()
@@ -166,16 +169,48 @@ func TestGatewayServesMultipleSessionsWithDelayBound(t *testing.T) {
 	}
 }
 
+// TestClientSendValidation: both send paths refuse negative bits and
+// sessions the mux does not hold (never opened, or already closed)
+// client-side, without putting anything on the wire.
 func TestClientSendValidation(t *testing.T) {
-	g, _ := startGateway(t, 1)
+	g, _ := startGateway(t, 2)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
+	m, ids := openMux(t, g.Addr(), 2)
+	owned, closed := ids[0], ids[1]
+	if err := m.CloseSession(closed); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Send(-1); err == nil {
-		t.Error("negative send accepted")
+	for _, tc := range []struct {
+		name    string
+		session uint32
+		bits    bw.Bits
+	}{
+		{"negative", owned, -1},
+		{"never opened", 99, 8},
+		{"closed", closed, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := m.Send(tc.session, tc.bits); err == nil {
+				t.Error("Send accepted")
+			}
+			batch := []BatchItem{{Session: owned, Bits: 1}, {Session: tc.session, Bits: tc.bits}}
+			if err := m.SendBatch(batch); err == nil {
+				t.Error("SendBatch accepted")
+			}
+		})
+	}
+	// Nothing reached the gateway: the connection still serves the owned
+	// session (a stray DATA would have been a protocol violation) and its
+	// pending counter is untouched.
+	if _, err := m.Stats(owned); err != nil {
+		t.Fatal(err)
+	}
+	sh := g.shards[0]
+	sh.mu.Lock()
+	pending := sh.pending[sh.slot(int(owned))]
+	sh.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("rejected sends leaked %d pending bits", pending)
 	}
 }
 

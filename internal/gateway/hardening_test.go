@@ -29,15 +29,14 @@ func startGatewayWithConfig(t *testing.T, k int, idle time.Duration) (*Gateway, 
 	return g, ticks
 }
 
-// TestClientConcurrentUse hammers one Client from many goroutines — the
-// mutex must serialize request/reply pairs on the shared connection.
-// Run with -race.
+// TestClientConcurrentUse hammers one session of one Mux from many
+// goroutines — a sender and a stats poller sharing a session, as every
+// swarm session does. The mutex must serialize request/reply pairs on
+// the shared connection. Run with -race.
 func TestClientConcurrentUse(t *testing.T) {
 	g, ticks := startGateway(t, 1)
-	c, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ids := openMux(t, g.Addr(), 1)
+	id := ids[0]
 
 	stop := make(chan struct{})
 	go func() {
@@ -64,11 +63,11 @@ func TestClientConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				if w%2 == 0 {
-					if err := c.Send(3); err != nil {
+					if err := m.Send(id, 3); err != nil {
 						errs <- err
 						return
 					}
-				} else if _, err := c.Stats(); err != nil {
+				} else if _, err := m.Stats(id); err != nil {
 					errs <- err
 					return
 				}
@@ -84,39 +83,40 @@ func TestClientConcurrentUse(t *testing.T) {
 	// Sync: a Stats round-trip on the shared conn guarantees every prior
 	// DATA message has been parsed into pending; two ticks then push
 	// pending into the queues so served+queued accounts for everything.
-	if _, err := c.Stats(); err != nil {
+	if _, err := m.Stats(id); err != nil {
 		t.Fatal(err)
 	}
 	ticks.tick()
 	ticks.tick()
-	st, err := c.Stats()
+	st, err := m.Stats(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := bw.Bits(3 * ops * workers / 2); st.Served+st.Queued != want {
 		t.Errorf("accounted %d bits, want %d", st.Served+st.Queued, want)
 	}
-	c.Close()
+	m.Close()
 	g.Close()
 }
 
 // TestReleaseRecyclesSynchronously verifies the CLOSE/CLOSED exchange:
-// once Release returns, the slot is free — no retry loop needed.
+// once CloseSession returns, the slot is free — no retry loop needed —
+// and closing the same session again is a no-op.
 func TestReleaseRecyclesSynchronously(t *testing.T) {
 	g, _ := startGateway(t, 1)
 	defer g.Close()
+	m, _ := openMux(t, g.Addr(), 0)
 	for i := 0; i < 5; i++ {
-		c, err := DialSession(g.Addr(), time.Second)
+		id, err := m.Open()
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if err := c.Release(); err != nil {
-			t.Fatalf("round %d release: %v", i, err)
+		if err := m.CloseSession(id); err != nil {
+			t.Fatalf("round %d close: %v", i, err)
 		}
-		if err := c.Release(); err != nil {
-			t.Fatalf("round %d second release not idempotent: %v", i, err)
+		if err := m.CloseSession(id); err != nil {
+			t.Fatalf("round %d second close not idempotent: %v", i, err)
 		}
-		c.Close()
 	}
 }
 
@@ -125,22 +125,17 @@ func TestReleaseRecyclesSynchronously(t *testing.T) {
 func TestOpenFailReportsSessionLimit(t *testing.T) {
 	g, _ := startGateway(t, 1)
 	defer g.Close()
-	first, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DialSession(g.Addr(), time.Second); !errors.Is(err, ErrSessionLimit) {
+	first, ids := openMux(t, g.Addr(), 1)
+	second, _ := openMux(t, g.Addr(), 0)
+	if _, err := second.Open(); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("second open: %v, want ErrSessionLimit", err)
 	}
-	if err := first.Release(); err != nil {
+	if err := first.CloseSession(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	second, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
-		t.Fatalf("open after release: %v", err)
+	if _, err := second.Open(); err != nil {
+		t.Fatalf("open after release on the refused connection: %v", err)
 	}
-	second.Close()
-	first.Close()
 }
 
 // TestIdleTimeoutRecyclesWedgedClient: a client that stops talking is
@@ -148,17 +143,13 @@ func TestOpenFailReportsSessionLimit(t *testing.T) {
 func TestIdleTimeoutRecyclesWedgedClient(t *testing.T) {
 	g, _ := startGatewayWithConfig(t, 1, 50*time.Millisecond)
 	defer g.Close()
-	wedged, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wedged.Close()
-	// Say nothing until the gateway cuts us off and frees the slot.
+	openMux(t, g.Addr(), 1) // wedged: says nothing after its OPEN
+	// Retry over a second connection until the gateway cuts the wedged
+	// one off and frees the slot; the retries keep this one alive.
+	m, _ := openMux(t, g.Addr(), 0)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		c, err := DialSession(g.Addr(), time.Second)
-		if err == nil {
-			c.Close()
+		if _, err := m.Open(); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -173,21 +164,18 @@ func TestIdleTimeoutRecyclesWedgedClient(t *testing.T) {
 func TestStatsReportsLiveChanges(t *testing.T) {
 	g, ticks := startGateway(t, 1)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
+	m, ids := openMux(t, g.Addr(), 1)
+	id := ids[0]
+	if err := m.Send(id, 64); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Send(64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stats(); err != nil { // sync the DATA message
+	if _, err := m.Stats(id); err != nil { // sync the DATA message
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		ticks.tick()
 	}
-	st, err := c.Stats()
+	st, err := m.Stats(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +222,7 @@ func TestStatsDeadlineOnDeadGateway(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Answer the OPEN so DialSession succeeds, then go mute.
+			// Answer the OPEN so Open succeeds, then go mute.
 			go func(conn net.Conn) {
 				var typ [1]byte
 				if _, err := conn.Read(typ[:]); err != nil {
@@ -246,13 +234,17 @@ func TestStatsDeadlineOnDeadGateway(t *testing.T) {
 			}(conn)
 		}
 	}()
-	c, err := DialSession(ln.Addr().String(), 200*time.Millisecond)
+	m, err := DialMux(ln.Addr().String(), 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer m.Close()
+	id, err := m.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	if _, err := c.Stats(); err == nil {
+	if _, err := m.Stats(id); err == nil {
 		t.Fatal("Stats succeeded against a mute gateway")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -289,18 +281,15 @@ func TestActiveClientOutlivesIdleTimeout(t *testing.T) {
 	const idle = 120 * time.Millisecond
 	g, _ := startGatewayWithConfig(t, 1, idle)
 	defer g.Close()
-	c, err := DialSession(g.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	m, ids := openMux(t, g.Addr(), 1)
+	id := ids[0]
 	// 4+ idle timeouts of traffic at ~idle/6 spacing.
 	deadline := time.Now().Add(5 * idle)
 	for time.Now().Before(deadline) {
-		if err := c.Send(1); err != nil {
+		if err := m.Send(id, 1); err != nil {
 			t.Fatalf("active client dropped: %v", err)
 		}
-		if _, err := c.Stats(); err != nil {
+		if _, err := m.Stats(id); err != nil {
 			t.Fatalf("active client dropped: %v", err)
 		}
 		time.Sleep(idle / 6)

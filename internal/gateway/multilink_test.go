@@ -1,9 +1,9 @@
 package gateway
 
 import (
+	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"dynbw/internal/bw"
 	"dynbw/internal/core"
@@ -81,15 +81,10 @@ func TestMultiLinkLifecycle(t *testing.T) {
 	}
 	defer g.Close()
 
-	clients := make([]*Client, links*m)
-	for i := range clients {
-		c, err := DialSession(g.Addr(), time.Second)
-		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
-		}
-		clients[i] = c
-		if got := int(c.Session()); got != i {
-			t.Fatalf("session %d: wire ID %d (multi-link IDs are monotone)", i, got)
+	mux, ids := openMux(t, g.Addr(), links*m)
+	for i, id := range ids {
+		if int(id) != i {
+			t.Fatalf("session %d: wire ID %d (multi-link IDs are monotone)", i, id)
 		}
 	}
 	// Greedy spreads unit sessions evenly.
@@ -99,21 +94,21 @@ func TestMultiLinkLifecycle(t *testing.T) {
 		}
 	}
 	// Capacity exhausted: the next OPEN fails.
-	if _, err := DialSession(g.Addr(), time.Second); err == nil {
-		t.Fatal("open beyond capacity accepted")
+	if _, err := mux.Open(); !errors.Is(err, ErrSessionLimit) {
+		t.Fatalf("open beyond capacity: %v, want ErrSessionLimit", err)
 	}
 
 	// Traffic round-trips through whichever slot the session landed on.
-	if err := clients[3].Send(48); err != nil {
+	if err := mux.Send(ids[3], 48); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clients[3].Stats(); err != nil { // barrier: DATA processed
+	if _, err := mux.Stats(ids[3]); err != nil { // barrier: DATA processed
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
 		ticks.tick()
 	}
-	st, err := clients[3].Stats()
+	st, err := mux.Stats(ids[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,17 +118,16 @@ func TestMultiLinkLifecycle(t *testing.T) {
 
 	// Closing frees both the slot and the router reservation; a new
 	// session gets a fresh wire ID, not the recycled slot index.
-	if err := clients[0].Close(); err != nil {
+	if err := mux.CloseSession(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialSession(g.Addr(), time.Second)
+	id, err := mux.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(c.Session()); got != links*m {
-		t.Fatalf("reopened session got wire ID %d, want %d", got, links*m)
+	if int(id) != links*m {
+		t.Fatalf("reopened session got wire ID %d, want %d", id, links*m)
 	}
-	c.Close()
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -173,16 +167,9 @@ func TestMultiLinkRebalanceMigratesSession(t *testing.T) {
 	// three even-ID sessions on link 1 so link 0 holds 4 and link 1
 	// holds 1 — enough imbalance that a unit-rate move strictly shrinks
 	// the spread.
-	clients := make([]*Client, links*m)
-	for i := range clients {
-		c, err := DialSession(g.Addr(), time.Second)
-		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
-		}
-		clients[i] = c
-	}
+	mux, ids := openMux(t, g.Addr(), links*m)
 	for _, i := range []int{1, 3, 5} {
-		if err := clients[i].Close(); err != nil {
+		if err := mux.CloseSession(ids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,10 +179,10 @@ func TestMultiLinkRebalanceMigratesSession(t *testing.T) {
 	}
 
 	// Queue some bits on session 0 so the migration has state to carry.
-	if err := clients[0].Send(64); err != nil {
+	if err := mux.Send(ids[0], 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clients[0].Stats(); err != nil { // barrier: DATA processed
+	if _, err := mux.Stats(ids[0]); err != nil { // barrier: DATA processed
 		t.Fatal(err)
 	}
 	ticks.tick() // t=0: no rebalance
@@ -207,7 +194,7 @@ func TestMultiLinkRebalanceMigratesSession(t *testing.T) {
 	}
 	// The wire session keeps working from its new slot, with its queue
 	// accounting intact.
-	st, err := clients[0].Stats()
+	st, err := mux.Stats(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}

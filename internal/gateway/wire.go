@@ -96,8 +96,8 @@ func (g *Gateway) putConnState(cs *connState) {
 }
 
 // logSession picks a representative session ID for diagnostics: the
-// session when the connection owns exactly one (the common Client
-// case), -1 otherwise.
+// session when the connection owns exactly one (a Mux holding a single
+// session, as each bwload swarm session does), -1 otherwise.
 func (cs *connState) logSession() int {
 	if len(cs.owned) == 1 {
 		for id := range cs.owned {

@@ -13,23 +13,6 @@ import (
 	"dynbw/internal/sim"
 )
 
-// NewPolicy builds a multi-session allocator by CLI name, with the same
-// defaults cmd/bwgateway uses: phased and continuous take the offline
-// resources (B_O, D_O) directly, combined derives B_A = nextpow2(8*B_O).
-func NewPolicy(name string, k int, bo bw.Rate, do bw.Tick) (sim.MultiAllocator, error) {
-	switch name {
-	case "phased":
-		return core.NewPhased(core.MultiParams{K: k, BO: bo, DO: do})
-	case "continuous":
-		return core.NewContinuous(core.MultiParams{K: k, BO: bo, DO: do})
-	case "combined":
-		ba := bw.NextPow2(8 * bo)
-		return core.NewCombined(core.CombinedParams{K: k, BA: ba, DO: do, UO: 0.5, W: 2 * do})
-	default:
-		return nil, fmt.Errorf("load: unknown policy %q (want phased|continuous|combined)", name)
-	}
-}
-
 // HostConfig parameterizes a self-hosted gateway for a swarm run.
 type HostConfig struct {
 	// Policy is phased|continuous|combined.
@@ -115,7 +98,7 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		gwCfg.ShardAllocs = make([]sim.MultiAllocator, cfg.Shards)
 		sr, _ := cfg.Observer.(*obs.ShardedRing)
 		for i := range gwCfg.ShardAllocs {
-			alloc, err := NewPolicy(cfg.Policy, cfg.Slots/cfg.Shards, cfg.BO/bw.Rate(cfg.Shards), cfg.DO)
+			alloc, err := core.NewPolicy(cfg.Policy, cfg.Slots/cfg.Shards, cfg.BO/bw.Rate(cfg.Shards), cfg.DO)
 			if err != nil {
 				return nil, err
 			}
@@ -132,7 +115,7 @@ func StartHost(cfg HostConfig) (*Host, error) {
 			gwCfg.ShardAllocs[i] = alloc
 		}
 	} else {
-		alloc, err := NewPolicy(cfg.Policy, cfg.Slots, cfg.BO, cfg.DO)
+		alloc, err := core.NewPolicy(cfg.Policy, cfg.Slots, cfg.BO, cfg.DO)
 		if err != nil {
 			return nil, err
 		}

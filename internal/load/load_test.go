@@ -224,9 +224,3 @@ func TestReportRendering(t *testing.T) {
 		t.Errorf("CSV aggregate row = %q", lines[len(lines)-1])
 	}
 }
-
-func TestNewPolicyUnknown(t *testing.T) {
-	if _, err := NewPolicy("nope", 4, 64, 8); err == nil {
-		t.Error("unknown policy accepted")
-	}
-}

@@ -24,7 +24,9 @@ type pendingBurst struct {
 }
 
 // runSession drives one client session for its whole lifecycle:
-// ramp delay, dial (with retry), traffic, drain, explicit release.
+// ramp delay, dial and open (with retry), traffic, drain, explicit
+// release. Each session holds its own connection: a Mux carrying just
+// this one session.
 func runSession(cfg Config, id int, res *SessionResult) {
 	res.ID = id
 	s := cfg.swarm
@@ -41,18 +43,18 @@ func runSession(cfg Config, id int, res *SessionResult) {
 		time.Sleep(cfg.Ramp * time.Duration(id) / time.Duration(cfg.Sessions))
 	}
 
-	c, err := dialRetry(cfg)
+	m, sid, err := dialRetry(cfg)
 	if err != nil {
 		res.Err = err
 		return
 	}
-	defer c.Close()
-	res.Slot = c.Session()
-	s.emit(obs.Event{Type: obs.EventSessionOpen, Session: int(c.Session()), Rule: "swarm"})
+	defer m.Close()
+	res.Slot = sid
+	s.emit(obs.Event{Type: obs.EventSessionOpen, Session: int(sid), Rule: "swarm"})
 
 	// Baseline: a recycled slot keeps its queue accounting across
 	// tenants, so all served/changes figures are deltas from here.
-	base, err := c.Stats()
+	base, err := m.Stats(sid)
 	if err != nil {
 		res.Err = fmt.Errorf("baseline stats: %w", err)
 		return
@@ -67,9 +69,9 @@ func runSession(cfg Config, id int, res *SessionResult) {
 
 	switch cfg.Mode {
 	case ClosedLoop:
-		err = closedLoop(cfg, c, tr, base.Served, res)
+		err = closedLoop(cfg, m, sid, tr, base.Served, res)
 	default:
-		err = openLoop(cfg, c, tr, base.Served, res)
+		err = openLoop(cfg, m, sid, tr, base.Served, res)
 	}
 	if err != nil {
 		res.Err = err
@@ -78,7 +80,7 @@ func runSession(cfg Config, id int, res *SessionResult) {
 
 	// Final accounting, then hand the slot back explicitly so it is
 	// free the moment this function returns.
-	st, err := c.Stats()
+	st, err := m.Stats(sid)
 	if err != nil {
 		res.Err = fmt.Errorf("final stats: %w", err)
 		return
@@ -87,30 +89,44 @@ func runSession(cfg Config, id int, res *SessionResult) {
 	res.FinalQueued = st.Queued
 	res.Changes = st.Changes - base.Changes
 	res.MaxDelayTicks = st.MaxDelay
-	if err := c.Release(); err != nil {
+	if err := m.CloseSession(sid); err != nil {
 		res.Err = fmt.Errorf("release: %w", err)
 		return
 	}
 	res.Released = true
-	s.emit(obs.Event{Type: obs.EventSessionClose, Session: int(c.Session()), Rule: "swarm"})
+	s.emit(obs.Event{Type: obs.EventSessionClose, Session: int(sid), Rule: "swarm"})
 }
 
-// dialRetry dials the gateway, backing off exponentially on transient
-// failures (including slot exhaustion while earlier sessions release).
-func dialRetry(cfg Config) (*gateway.Client, error) {
+// dialRetry dials the gateway and opens a session, backing off
+// exponentially on transient failures. Slot exhaustion (earlier
+// sessions have not released yet) retries OPEN over the same
+// connection, which the gateway keeps open after OPENFAIL; only a
+// network error costs a redial.
+func dialRetry(cfg Config) (*gateway.Mux, uint32, error) {
 	backoff := 5 * time.Millisecond
-	var lastErr error
+	var (
+		m       *gateway.Mux
+		lastErr error
+	)
 	for attempt := 0; attempt <= cfg.DialRetries; attempt++ {
-		c, err := gateway.DialSession(cfg.Addr, cfg.DialTimeout)
-		if err == nil {
-			return c, nil
+		if m == nil {
+			m, lastErr = gateway.DialMux(cfg.Addr, cfg.DialTimeout)
 		}
-		lastErr = err
-		if errors.Is(err, gateway.ErrSessionLimit) {
-			cfg.swarm.openFailInc()
-			cfg.swarm.emit(obs.Event{Type: obs.EventOpenFail, Session: -1, Rule: "swarm"})
+		if m != nil {
+			id, err := m.Open()
+			if err == nil {
+				return m, id, nil
+			}
+			lastErr = err
+			if errors.Is(err, gateway.ErrSessionLimit) {
+				cfg.swarm.openFailInc()
+				cfg.swarm.emit(obs.Event{Type: obs.EventOpenFail, Session: -1, Rule: "swarm"})
+			} else {
+				m.Close()
+				m = nil
+			}
 		}
-		if !retryable(err) {
+		if !retryable(lastErr) {
 			break
 		}
 		time.Sleep(backoff)
@@ -118,10 +134,13 @@ func dialRetry(cfg Config) (*gateway.Client, error) {
 			backoff = 500 * time.Millisecond
 		}
 	}
-	return nil, fmt.Errorf("dial: %w", lastErr)
+	if m != nil {
+		m.Close()
+	}
+	return nil, 0, fmt.Errorf("dial: %w", lastErr)
 }
 
-// retryable reports whether a dial error is worth retrying: slot
+// retryable reports whether a dial or open error is worth retrying: slot
 // exhaustion always is (slots recycle), as are transient network
 // failures (listen backlog overflow or descriptor pressure under a
 // thundering herd).
@@ -143,9 +162,9 @@ func retryable(err error) bool {
 // high-water mark, and settles every pending burst the served counter
 // now covers. Samples land in the session-local histograms and, when a
 // registry is attached, the swarm-wide live ones.
-func poll(c *gateway.Client, s *swarmObs, res *SessionResult, pending []pendingBurst) ([]pendingBurst, error) {
+func poll(m *gateway.Mux, id uint32, s *swarmObs, res *SessionResult, pending []pendingBurst) ([]pendingBurst, error) {
 	t0 := time.Now()
-	st, err := c.Stats()
+	st, err := m.Stats(id)
 	if err != nil {
 		return pending, fmt.Errorf("stats: %w", err)
 	}
@@ -175,7 +194,7 @@ func poll(c *gateway.Client, s *swarmObs, res *SessionResult, pending []pendingB
 
 // openLoop sends tr on a fixed wall-clock schedule — one trace tick per
 // cfg.Tick — polling stats each tick, then drains.
-func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits, res *SessionResult) error {
+func openLoop(cfg Config, m *gateway.Mux, id uint32, tr *trace.Trace, baseServed bw.Bits, res *SessionResult) error {
 	ticker := time.NewTicker(cfg.Tick)
 	defer ticker.Stop()
 	var (
@@ -186,7 +205,7 @@ func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits
 	for t := bw.Tick(0); t < tr.Len(); t++ {
 		<-ticker.C
 		if burst := tr.At(t); burst > 0 {
-			if serr := c.Send(burst); serr != nil {
+			if serr := m.Send(id, burst); serr != nil {
 				return fmt.Errorf("send tick %d: %w", t, serr)
 			}
 			cum += burst
@@ -195,7 +214,7 @@ func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits
 			cfg.swarm.sent(burst)
 			pending = append(pending, pendingBurst{threshold: baseServed + cum, sent: time.Now()})
 		}
-		if pending, err = poll(c, cfg.swarm, res, pending); err != nil {
+		if pending, err = poll(m, id, cfg.swarm, res, pending); err != nil {
 			return err
 		}
 	}
@@ -205,7 +224,7 @@ func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits
 	deadline := time.Now().Add(cfg.DrainTimeout)
 	for len(pending) > 0 && time.Now().Before(deadline) {
 		<-ticker.C
-		if pending, err = poll(c, cfg.swarm, res, pending); err != nil {
+		if pending, err = poll(m, id, cfg.swarm, res, pending); err != nil {
 			return err
 		}
 	}
@@ -215,7 +234,7 @@ func openLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits
 // closedLoop sends each nonzero burst of tr only after the previous one
 // has been served, measuring the gateway's service ceiling. The sending
 // window still ends after cfg.Duration of wall-clock time.
-func closedLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bits, res *SessionResult) error {
+func closedLoop(cfg Config, m *gateway.Mux, id uint32, tr *trace.Trace, baseServed bw.Bits, res *SessionResult) error {
 	ticker := time.NewTicker(cfg.Tick)
 	defer ticker.Stop()
 	stop := time.Now().Add(cfg.Duration)
@@ -229,7 +248,7 @@ func closedLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bi
 		if burst == 0 {
 			continue
 		}
-		if serr := c.Send(burst); serr != nil {
+		if serr := m.Send(id, burst); serr != nil {
 			return fmt.Errorf("send burst %d: %w", res.Bursts, serr)
 		}
 		cum += burst
@@ -243,7 +262,7 @@ func closedLoop(cfg Config, c *gateway.Client, tr *trace.Trace, baseServed bw.Bi
 				return nil // wedged service: stop offering, keep accounting
 			}
 			<-ticker.C
-			if pending, err = poll(c, cfg.swarm, res, pending); err != nil {
+			if pending, err = poll(m, id, cfg.swarm, res, pending); err != nil {
 				return err
 			}
 		}

@@ -15,9 +15,10 @@ import (
 // SoakConfig parameterizes a session-scale soak: open a very large
 // number of sessions, hold them all live through a plateau, and keep
 // the wire warm with sparse traffic. Unlike the per-session swarm of
-// Run (one connection per session, capped by file descriptors around a
-// few thousand), the soak multiplexes sessions onto gateway.Mux
-// connections, so 100k+ open sessions fit inside an ordinary fd limit.
+// Run (one single-session Mux connection per session, capped by file
+// descriptors around a few thousand), the soak multiplexes many sessions
+// onto each gateway.Mux connection, so 100k+ open sessions fit inside an
+// ordinary fd limit.
 type SoakConfig struct {
 	// Addr is the gateway to soak.
 	Addr string
