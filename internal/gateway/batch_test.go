@@ -155,7 +155,7 @@ func TestSendBatchChunksAboveMaxBatch(t *testing.T) {
 	_ = st
 	sh := g.shards[0]
 	sh.mu.Lock()
-	pending := sh.pending[sh.slot(int(id))]
+	pending := sh.slots.Pending()[sh.slot(int(id))]
 	sh.mu.Unlock()
 	if pending != bw.Bits(len(items)) {
 		t.Errorf("pending = %d, want %d", pending, len(items))
@@ -169,14 +169,14 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	data := fuzzSeed(typeData, 0, 64)
 
 	t.Run("empty batch is a no-op", func(t *testing.T) {
-		g := newBare(4)
+		g := newGateway(4, 1)
 		cs := &connState{owned: make(map[int]struct{})}
 		if err := g.handleMessage(bytes.NewReader(batchFrame(0)), io.Discard, cs); err != nil {
 			t.Fatalf("empty batch: %v", err)
 		}
 	})
 	t.Run("truncated count is a read error", func(t *testing.T) {
-		g := newBare(4)
+		g := newGateway(4, 1)
 		cs := &connState{owned: make(map[int]struct{})}
 		err := g.handleMessage(bytes.NewReader([]byte{typeBatch, 0}), io.Discard, cs)
 		if err == nil || errors.Is(err, errProtocol) {
@@ -184,7 +184,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("oversized count is a protocol violation", func(t *testing.T) {
-		g := newBare(4)
+		g := newGateway(4, 1)
 		cs := &connState{owned: make(map[int]struct{})}
 		err := g.handleMessage(bytes.NewReader([]byte{typeBatch, 0xff, 0xff}), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
@@ -192,7 +192,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("nested batch is a protocol violation", func(t *testing.T) {
-		g := newBare(4)
+		g := newGateway(4, 1)
 		cs := &connState{owned: make(map[int]struct{})}
 		err := g.handleMessage(bytes.NewReader(batchFrame(1, batchFrame(0))), io.Discard, cs)
 		if !errors.Is(err, errProtocol) {
@@ -200,7 +200,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("trace wrapping batch is a protocol violation", func(t *testing.T) {
-		g := newBare(4)
+		g := newGateway(4, 1)
 		cs := &connState{owned: make(map[int]struct{})}
 		in := append([]byte{typeTrace, 0, 0, 0, 0, 0, 0, 0, 1}, batchFrame(0)...)
 		err := g.handleMessage(bytes.NewReader(in), io.Discard, cs)
@@ -209,7 +209,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("mixed open and data applies", func(t *testing.T) {
-		g := newBare(4)
+		g := newGateway(4, 1)
 		cs := &connState{owned: make(map[int]struct{})}
 		var w bytes.Buffer
 		in := batchFrame(3, open, data, data)
@@ -220,7 +220,7 @@ func TestBatchWireEdgeCases(t *testing.T) {
 			t.Fatal("OPEN inside batch did not register session 0")
 		}
 		sh := g.shards[0]
-		if got := sh.pending[0]; got != 128 {
+		if got := sh.slots.Pending()[0]; got != 128 {
 			t.Errorf("pending[0] = %d, want 128 (two batched DATA)", got)
 		}
 		if w.Len() != 5 || w.Bytes()[0] != typeOpened {
@@ -230,8 +230,9 @@ func TestBatchWireEdgeCases(t *testing.T) {
 	t.Run("data before close is applied first", func(t *testing.T) {
 		// The ordering barrier: CLOSE (non-DATA) must flush the pending
 		// group before releasing the slot, or the DATA would land on a
-		// freed (or worse, re-opened) slot.
-		g := newBare(4)
+		// freed (or worse, re-opened) slot. Applied first, the DATA is
+		// pending at the CLOSE, which drops it and leaves nothing behind.
+		g := newGateway(4, 1)
 		cs := &connState{owned: make(map[int]struct{})}
 		in := batchFrame(3, open, data, fuzzSeed(typeClose, 0))
 		if err := g.handleMessage(bytes.NewReader(in), io.Discard, cs); err != nil {
@@ -244,12 +245,15 @@ func TestBatchWireEdgeCases(t *testing.T) {
 		if sh.inUse != 0 {
 			t.Errorf("inUse = %d after CLOSE", sh.inUse)
 		}
-		if got := sh.pending[0]; got != 64 {
-			t.Errorf("pending[0] = %d, want 64 applied before release", got)
+		if got := sh.slots.Totals(); got.Arrived != 64 || got.Dropped != 64 {
+			t.Errorf("arrived %d, dropped %d, want 64 applied before release", got.Arrived, got.Dropped)
+		}
+		if got := sh.slots.Pending()[0]; got != 0 {
+			t.Errorf("pending[0] = %d after CLOSE, want 0", got)
 		}
 	})
 	t.Run("mid-batch error discards unapplied groups", func(t *testing.T) {
-		g := newBare(4)
+		g := newGateway(4, 1)
 		cs := g.getConnState(0, 0)
 		bad := fuzzSeed(typeData, 3, 64) // unowned session
 		in := batchFrame(3, open, data, bad)
@@ -266,8 +270,8 @@ func TestBatchWireEdgeCases(t *testing.T) {
 				t.Errorf("recycled connState carries %d pending adds for shard %d", len(grp), i)
 			}
 		}
-		if g.shards[0].pending[0] != 0 {
-			t.Errorf("aborted batch leaked pending = %d", g.shards[0].pending[0])
+		if g.shards[0].slots.Pending()[0] != 0 {
+			t.Errorf("aborted batch leaked pending = %d", g.shards[0].slots.Pending()[0])
 		}
 	})
 }
@@ -324,7 +328,7 @@ func TestBatchTraceEnvelope(t *testing.T) {
 			sh.mu.Lock()
 			var pending bw.Bits
 			for _, id := range ids {
-				pending += sh.pending[sh.slot(int(id))]
+				pending += sh.slots.Pending()[sh.slot(int(id))]
 			}
 			sh.mu.Unlock()
 			if pending != tc.pending {
@@ -340,8 +344,8 @@ func TestBatchTraceEnvelope(t *testing.T) {
 // the uninstrumented gateway — groups, span scratch, and buffers all
 // live in the pooled connState.
 func TestHandleBatchDataZeroAlloc(t *testing.T) {
-	bare := newBare(4)
-	instr := newBare(4)
+	bare := newGateway(4, 1)
+	instr := newGateway(4, 1)
 	instr.m = newGWMetrics(obs.NewRegistry(), "test", 1)
 	instr.spans = obs.NewSpanRing(64, StageNames())
 	instr.sampler = obs.NewSampler(obs.DefaultSampleEvery, 1)

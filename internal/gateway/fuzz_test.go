@@ -59,7 +59,7 @@ func FuzzHandleMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const k = 4
-		g := newBare(k)
+		g := newGateway(k, 1)
 		cs := &connState{owned: make(map[int]struct{})}
 		r := bytes.NewReader(in)
 		for {
@@ -96,7 +96,7 @@ func FuzzHandleMessage(f *testing.F) {
 		}
 		// DATA must never have landed on a slot the stream did not own:
 		// every pending entry outside the owned set must be zero.
-		for i, p := range sh.pending {
+		for i, p := range sh.slots.Pending() {
 			_, owned := cs.owned[i]
 			if p < 0 || (!owned && p != 0) {
 				t.Fatalf("pending[%d] = %d, owned = %v", i, p, owned)

@@ -38,6 +38,12 @@
 // session the connection itself opened; anything else is a protocol
 // violation and drops the connection, releasing every session it owned.
 //
+// A STATSR reply describes the session, not its slot: served, queued,
+// max delay and changes start from zero at OPEN. Releasing a session, by
+// CLOSE or by disconnect, drops the bits it still holds and counts them
+// in dynbw_gateway_dropped_bits_total. Stats, from Close, holds run
+// totals over every session, with arrived = served + queued + dropped.
+//
 // The gateway pipelines: it keeps handling buffered input before
 // flushing buffered replies, so a client that writes many requests
 // back-to-back (or one BATCH frame) gets all the replies in one burst.
@@ -58,7 +64,9 @@
 // never contend. The tick loop fans one allocation round out to every
 // shard and joins before advancing the clock, so the cost measure and
 // per-slot accounting are exactly the single-shard gateway's; /metrics,
-// /sessions and Close() merge the shards back at read time.
+// /sessions and Close() merge the shards back at read time. Every shard
+// steps its slots with sim.Slots, the tick kernel sim.MultiRunner runs,
+// so the gateway and the simulator share one per-tick loop.
 package gateway
 
 import (
@@ -225,7 +233,6 @@ type Config struct {
 type Gateway struct {
 	ln          net.Listener
 	k           int // total slots
-	links       int // number of links (1 = classic)
 	lm          int // slots per link (k/links)
 	spp         int // slots per shard (k/len(shards))
 	shards      []*shard
@@ -246,7 +253,9 @@ type Gateway struct {
 	roundDur   []int64 // per-shard duration of the current round, ns; written
 	// by the shard's tick worker, read by the tick loop after the join
 	// (the WaitGroup orders the accesses)
-	imbalEwma int64 // tick-loop only: EWMA of max/mean shard duration, permille
+	roundRate    []bw.Rate // per-shard total rate of the current round; as roundDur
+	imbalEwma    int64     // tick-loop only: EWMA of max/mean shard duration, permille
+	maxTotalRate bw.Rate   // tick-loop only until done closes: peak per-tick total rate
 
 	now      atomic.Int64 // completed allocation rounds
 	nextConn atomic.Int64 // round-robin conn -> shard stripe assignment
@@ -334,7 +343,6 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 	}
 	g := newGateway(cfg.Slots, nshards)
 	g.ln = ln
-	g.links = links
 	g.lm = cfg.Slots / links
 	g.router = cfg.Router
 	g.rebalEvery = cfg.RebalanceEvery
@@ -395,11 +403,12 @@ func NewWithConfig(cfg Config) (*Gateway, error) {
 }
 
 // newGateway builds the shard skeletons of a k-slot gateway with no
-// listener, allocators, or loops.
+// listener, allocators, or loops. With one shard it backs the
+// FuzzHandleMessage harness, which exercises handleMessage without a
+// network.
 func newGateway(k, nshards int) *Gateway {
 	g := &Gateway{
 		k:          k,
-		links:      1,
 		lm:         k,
 		spp:        k / nshards,
 		acceptStop: make(chan struct{}),
@@ -412,14 +421,8 @@ func newGateway(k, nshards int) *Gateway {
 		g.shards[i] = newShard(g, i, i*g.spp, g.spp)
 	}
 	g.roundDur = make([]int64, nshards)
+	g.roundRate = make([]bw.Rate, nshards)
 	return g
-}
-
-// newBare builds the slot state of a k-slot single-shard gateway with no
-// listener and no loops. It backs the FuzzHandleMessage harness, which
-// exercises handleMessage without a network.
-func newBare(k int) *Gateway {
-	return newGateway(k, 1)
 }
 
 // Addr returns the gateway's listen address.
@@ -437,16 +440,9 @@ func (g *Gateway) shardOf(id int) *shard {
 	return g.shards[id/g.spp]
 }
 
-// emit forwards an event to the observer, if any.
-func (g *Gateway) emit(e obs.Event) {
-	if g.o != nil {
-		g.o.Event(e)
-	}
-}
-
 // emitAt forwards an event through the given shard's emission handle —
 // its ring stripe when a ShardedRing is attached, else the plain
-// observer.
+// observer, if any.
 func (g *Gateway) emitAt(shard int, e obs.Event) {
 	if len(g.shardObs) > 0 {
 		if o := g.shardObs[shard%len(g.shardObs)]; o != nil {
@@ -454,5 +450,7 @@ func (g *Gateway) emitAt(shard int, e obs.Event) {
 			return
 		}
 	}
-	g.emit(e)
+	if g.o != nil {
+		g.o.Event(e)
+	}
 }

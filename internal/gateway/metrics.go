@@ -26,6 +26,7 @@ type gwMetrics struct {
 	ticks        *obs.Counter
 	arrivedBits  *obs.Striped
 	servedBits   *obs.Striped
+	droppedBits  *obs.Striped
 	allocChanges *obs.Striped
 	exchange     *obs.StripedHistogram
 	// stages times the wire-path pipeline for every message, by stage
@@ -71,17 +72,9 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 	m.accepts = reg.Counter("dynbw_gateway_accepts_total", "Connections accepted.")
 	m.acceptErrors = reg.Counter("dynbw_gateway_accept_errors_total", "Accept failures (each backs off the accept loop).")
 	m.messages = make(map[byte]*obs.Striped, 7)
-	for typ, label := range map[byte]string{
-		typeOpen:  "open",
-		typeData:  "data",
-		typeStats: "stats",
-		typeClose: "close",
-		typeTrace: "trace",
-		typeBatch: "batch",
-		0:         "unknown",
-	} {
+	for _, typ := range []byte{typeOpen, typeData, typeStats, typeClose, typeTrace, typeBatch, 0} {
 		s := obs.NewStriped(m.connStripes)
-		reg.CounterFunc("dynbw_gateway_messages_total", "Wire messages handled, by type.", s.Value, obs.L("type", label))
+		reg.CounterFunc("dynbw_gateway_messages_total", "Wire messages handled, by type.", s.Value, obs.L("type", kindName(typ)))
 		m.messages[typ] = s
 	}
 	m.errors = map[string]*obs.Counter{}
@@ -93,9 +86,13 @@ func newGWMetrics(reg *obs.Registry, policy string, stripes int) *gwMetrics {
 	m.conns = reg.Gauge("dynbw_gateway_active_conns", "TCP connections currently served.")
 	m.ticks = reg.Counter("dynbw_gateway_ticks_total", "Allocation rounds run.")
 	m.arrivedBits = obs.NewStriped(stripes)
-	reg.CounterFunc("dynbw_gateway_arrived_bits_total", "Bits accepted into session queues.", m.arrivedBits.Value)
+	reg.CounterFunc("dynbw_gateway_arrived_bits_total",
+		"Bits accepted from clients: pushed into a session queue, or dropped still pending at CLOSE.", m.arrivedBits.Value)
 	m.servedBits = obs.NewStriped(stripes)
 	reg.CounterFunc("dynbw_gateway_served_bits_total", "Bits served out of session queues.", m.servedBits.Value)
+	m.droppedBits = obs.NewStriped(stripes)
+	reg.CounterFunc("dynbw_gateway_dropped_bits_total",
+		"Bits dropped unserved when their session closed (arrived = served + queued + dropped).", m.droppedBits.Value)
 	m.allocChanges = obs.NewStriped(stripes)
 	reg.CounterFunc("dynbw_gateway_allocation_changes_total",
 		"Per-session bandwidth allocation changes — the paper's cost measure, live.",

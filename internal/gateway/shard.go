@@ -5,17 +5,16 @@ import (
 	"net"
 	"sync"
 
-	"dynbw/internal/bw"
-	"dynbw/internal/queue"
 	"dynbw/internal/route"
 	"dynbw/internal/sim"
 )
 
 // shard owns a contiguous range of the gateway's slot table behind its
-// own mutex: the per-slot queueing state, the allocator(s) serving that
-// range, and the set of connections striped onto it. A single-shard
-// gateway is exactly the classic design; sharding only splits the lock
-// and the allocator's input, never the wire protocol or the accounting.
+// own mutex: the tick kernel holding the per-slot queueing state, the
+// allocator(s) serving that range, the ID table, and the set of
+// connections striped onto it. A single-shard gateway is exactly the
+// classic design; sharding only splits the lock and the allocator's
+// input, never the wire protocol or the accounting.
 type shard struct {
 	g    *Gateway
 	idx  int // shard index (metrics stripe, ring stripe)
@@ -26,47 +25,31 @@ type shard struct {
 	// single-link gateways have exactly one.
 	allocs []sim.MultiAllocator
 
-	mu        sync.Mutex
-	pending   []bw.Bits             // guarded by shard.mu; arrivals accumulated since the last tick
-	used      []bool                // guarded by shard.mu; slot taken by an open session
-	queues    []queue.FIFO          // guarded by shard.mu
-	scheds    []*bw.Schedule        // guarded by shard.mu
-	lastRates []bw.Rate             // guarded by shard.mu; rates applied on the most recent tick
-	inUse     int                   // guarded by shard.mu; open-slot count (fast exhaustion check)
-	conns     map[net.Conn]struct{} // guarded by shard.mu; connections striped onto this shard
-	nextExt   int                   // guarded by shard.mu; next external session ID (multi-link)
-	extSlot   map[int]int           // guarded by shard.mu; external ID -> slot (multi-link)
-	slotExt   []int                 // guarded by shard.mu; slot -> external ID, -1 when free (multi-link)
-
-	// Tick-only scratch: touched exclusively by the one tick worker
-	// processing this shard in a given round, never concurrently.
-	arrived []bw.Bits // confined to shard.tick
-	queued  []bw.Bits // confined to shard.tick
+	mu      sync.Mutex
+	slots   sim.Slots             // guarded by shard.mu; pending arrivals, queues, rates and counters
+	used    []bool                // guarded by shard.mu; slot taken by an open session
+	inUse   int                   // guarded by shard.mu; open-slot count (fast exhaustion check)
+	conns   map[net.Conn]struct{} // guarded by shard.mu; connections striped onto this shard
+	nextExt int                   // guarded by shard.mu; next external session ID (multi-link)
+	extSlot map[int]int           // guarded by shard.mu; external ID -> slot (multi-link)
+	slotExt []int                 // guarded by shard.mu; slot -> external ID, -1 when free (multi-link)
 }
 
 // newShard builds the slot state for n slots starting at global index
 // base. The allocators are filled in by the caller (mode-dependent).
 func newShard(g *Gateway, idx, base, n int) *shard {
 	sh := &shard{
-		g:         g,
-		idx:       idx,
-		base:      base,
-		n:         n,
-		lm:        n,
-		pending:   make([]bw.Bits, n),
-		used:      make([]bool, n),
-		queues:    make([]queue.FIFO, n),
-		scheds:    make([]*bw.Schedule, n),
-		lastRates: make([]bw.Rate, n),
-		conns:     make(map[net.Conn]struct{}),
-		extSlot:   make(map[int]int),
-		slotExt:   make([]int, n),
-		arrived:   make([]bw.Bits, n),
-		queued:    make([]bw.Bits, n),
+		g:       g,
+		idx:     idx,
+		base:    base,
+		n:       n,
+		lm:      n,
+		used:    make([]bool, n),
+		conns:   make(map[net.Conn]struct{}),
+		extSlot: make(map[int]int),
+		slotExt: make([]int, n),
 	}
-	for i := range sh.scheds {
-		sh.scheds[i] = &bw.Schedule{}
-	}
+	sh.slots.Reset(n)
 	for i := range sh.slotExt {
 		sh.slotExt[i] = -1
 	}
@@ -78,17 +61,27 @@ func newShard(g *Gateway, idx, base, n int) *shard {
 func (sh *shard) open() (int, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.inUse == sh.n {
+	i := sh.free(0, sh.n)
+	if i < 0 {
 		return 0, false
 	}
-	for i := 0; i < sh.n; i++ {
+	sh.used[i] = true
+	sh.inUse++
+	return sh.base + i, true
+}
+
+// free returns the first free slot in [lo, hi), or -1. Callers must
+// hold sh.mu.
+func (sh *shard) free(lo, hi int) int {
+	if sh.inUse == sh.n {
+		return -1
+	}
+	for i := lo; i < hi; i++ {
 		if !sh.used[i] {
-			sh.used[i] = true
-			sh.inUse++
-			return sh.base + i, true
+			return i
 		}
 	}
-	return 0, false
+	return -1
 }
 
 // openRouted claims a slot in multi-link mode: ask the router for a
@@ -102,13 +95,7 @@ func (sh *shard) openRouted() (int, error) {
 	if l == route.Blocked {
 		return 0, ErrSessionLimit
 	}
-	slot := -1
-	for s := int(l) * sh.lm; s < (int(l)+1)*sh.lm; s++ {
-		if !sh.used[s] {
-			slot = s
-			break
-		}
-	}
+	slot := sh.free(int(l)*sh.lm, (int(l)+1)*sh.lm)
 	if slot < 0 {
 		// Router and gateway occupancy are updated in lockstep under mu,
 		// so an admitted link always has a free slot; recover anyway.
@@ -123,21 +110,26 @@ func (sh *shard) openRouted() (int, error) {
 	return ext, nil
 }
 
-// release frees the slot behind a wire session ID.
+// release frees the slot behind a wire session ID and ends its
+// occupancy in the kernel: the slot's pending and queued bits are
+// dropped, and counted on the shard's stripe of the bit counters.
 func (sh *shard) release(id int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.g.router == nil {
-		if i := id - sh.base; sh.used[i] {
-			sh.used[i] = false
-			sh.inUse--
-		}
+	i, ok := id-sh.base, true
+	if sh.g.router != nil {
+		i, ok = sh.extSlot[id]
+	}
+	if !ok || !sh.used[i] {
 		return
 	}
-	if slot, ok := sh.extSlot[id]; ok {
-		sh.used[slot] = false
-		sh.inUse--
-		sh.slotExt[slot] = -1
+	sh.used[i] = false
+	sh.inUse--
+	arrived, dropped := sh.slots.Release(i)
+	sh.g.m.arrivedBits.Add(sh.idx, int64(arrived))
+	sh.g.m.droppedBits.Add(sh.idx, int64(dropped))
+	if sh.g.router != nil {
+		sh.slotExt[i] = -1
 		delete(sh.extSlot, id)
 		sh.g.router.Release(id)
 	}
@@ -160,10 +152,10 @@ func (sh *shard) openCount() int64 {
 }
 
 // rebalance asks the router for load-evening moves and migrates each
-// moved session's slot state — queue, pending bits, occupancy — to a
-// free slot on the destination link. The external session ID is stable
-// across the move, so clients notice nothing. Callers must hold sh.mu
-// (the tick worker does).
+// moved session's slot state — queue, pending bits, change counter and
+// occupancy — to a free slot on the destination link. The external
+// session ID is stable across the move, so clients notice nothing.
+// Callers must hold sh.mu (the tick worker does).
 func (sh *shard) rebalance() {
 	rb, ok := sh.g.router.(route.Rebalancer)
 	if !ok {
@@ -174,13 +166,7 @@ func (sh *shard) rebalance() {
 		if !ok {
 			continue
 		}
-		dst := -1
-		for s := int(mv.To) * sh.lm; s < (int(mv.To)+1)*sh.lm; s++ {
-			if !sh.used[s] {
-				dst = s
-				break
-			}
-		}
+		dst := sh.free(int(mv.To)*sh.lm, (int(mv.To)+1)*sh.lm)
 		if dst < 0 {
 			// The router admitted the move, so its slot accounting says
 			// there is room; a full link here means the two views diverged.
@@ -188,10 +174,7 @@ func (sh *shard) rebalance() {
 				"session", mv.Session, "to", int(mv.To)) // bwlint:allocok cold: router/shard divergence, rate-limited warn
 			continue
 		}
-		sh.queues[dst] = sh.queues[src]
-		sh.queues[src] = queue.FIFO{}
-		sh.pending[dst] = sh.pending[src]
-		sh.pending[src] = 0
+		sh.slots.Move(src, dst)
 		sh.used[src], sh.used[dst] = false, true
 		sh.slotExt[src], sh.slotExt[dst] = -1, mv.Session
 		sh.extSlot[mv.Session] = dst // bwlint:allocok key already present, no table growth

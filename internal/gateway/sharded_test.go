@@ -116,8 +116,10 @@ func runShardedTrace(t *testing.T, nshards int) Stats {
 	if _, err := m.Stats(ids[k-1]); err != nil {
 		t.Fatal(err)
 	}
+	// Stepping (not just sending) the ticks keeps the CLOSEs from racing
+	// the third round: a CLOSE drops whatever its session still queues.
 	for i := 0; i < 3; i++ {
-		ticks.tick()
+		ticks.step(t, g)
 	}
 	for i := 0; i < k; i += 2 {
 		if err := m.CloseSession(ids[i]); err != nil {
@@ -245,8 +247,10 @@ func TestMuxConcurrentSessions(t *testing.T) {
 	ticks.tick()
 	m.Close()
 	st := g.Close()
-	if want := bw.Bits(workers * ops * 8); st.Served+st.Queued != want {
-		t.Errorf("served %d + queued %d != %d sent", st.Served, st.Queued, want)
+	// Every session closed, so what was not served by then was dropped.
+	if want := bw.Bits(workers * ops * 8); st.Arrived != want || st.Served+st.Queued+st.Dropped != want {
+		t.Errorf("arrived %d, served %d + queued %d + dropped %d, want %d sent",
+			st.Arrived, st.Served, st.Queued, st.Dropped, want)
 	}
 }
 

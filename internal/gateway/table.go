@@ -4,20 +4,21 @@ import (
 	"time"
 
 	"dynbw/internal/bw"
+	"dynbw/internal/sim"
 )
 
-// Stats is the gateway-wide accounting snapshot returned by Close. On a
-// sharded gateway it is the merge of every shard's slice of the table;
-// the per-slot bookkeeping is identical either way, so a sharded and an
-// unsharded gateway fed the same deterministic trace report the same
-// totals.
+// Stats is the gateway-wide accounting snapshot returned by Close: the
+// kernels' run totals over every occupant of every slot, merged across
+// shards, so a sharded and an unsharded gateway fed the same
+// deterministic trace report the same totals. Bits are conserved:
+// Arrived = Served + Queued + Dropped, where Dropped counts the bits a
+// session still held when it closed. Changes is the paper's cost
+// measure summed over sessions; MaxTotalRate is the peak over ticks of
+// the total rate granted.
 type Stats struct {
-	Ticks          bw.Tick
-	Served         bw.Bits
-	Queued         bw.Bits
-	SessionChanges int
-	MaxTotalRate   bw.Rate
-	MaxDelay       bw.Tick
+	Ticks bw.Tick
+	sim.Totals
+	MaxTotalRate bw.Rate
 }
 
 // Close stops serving immediately — Shutdown with no grace period.
@@ -59,28 +60,25 @@ func (g *Gateway) Shutdown(grace time.Duration) Stats {
 		<-g.done
 	})
 
-	var st Stats
-	st.Ticks = bw.Tick(g.now.Load())
-	scheds := make([]*bw.Schedule, 0, g.k)
+	st := Stats{Ticks: bw.Tick(g.now.Load()), MaxTotalRate: g.maxTotalRate}
 	for _, sh := range g.shards {
 		sh.mu.Lock()
-		for i := 0; i < sh.n; i++ {
-			st.Served += sh.queues[i].Served()
-			st.Queued += sh.queues[i].Bits()
-			st.SessionChanges += sh.scheds[i].Changes()
-			if d := sh.queues[i].MaxDelay(); d > st.MaxDelay {
-				st.MaxDelay = d
-			}
-		}
-		scheds = append(scheds, sh.scheds...)
+		tot := sh.slots.Totals()
 		sh.mu.Unlock()
+		st.Arrived += tot.Arrived
+		st.Served += tot.Served
+		st.Queued += tot.Queued
+		st.Dropped += tot.Dropped
+		st.Changes += tot.Changes
+		st.MaxDelay = max(st.MaxDelay, tot.MaxDelay)
 	}
-	st.MaxTotalRate = bw.Sum(scheds...).MaxRate()
 	return st
 }
 
 // SessionInfo is one slot's live state, served as JSON by the admin
-// /sessions endpoint.
+// /sessions endpoint. Rate is the slot's last applied rate; Queued,
+// Served, Changes and MaxDelay are charged to the slot's current
+// occupant and restart from zero when the slot is released.
 type SessionInfo struct {
 	Slot int `json:"slot"`
 	// Shard is the gateway shard owning this slot (always 0 unsharded).
@@ -90,12 +88,8 @@ type SessionInfo struct {
 	Open bool `json:"open"`
 	// Ext is the wire session ID bound to the slot, -1 when free (equal
 	// to Slot in single-link mode).
-	Ext      int     `json:"ext"`
-	Rate     bw.Rate `json:"rate"`
-	Queued   bw.Bits `json:"queued"`
-	Served   bw.Bits `json:"served"`
-	Changes  int     `json:"changes"`
-	MaxDelay bw.Tick `json:"max_delay_ticks"`
+	Ext int `json:"ext"`
+	sim.SlotStats
 }
 
 // Sessions returns a point-in-time snapshot of every slot, in global
@@ -115,16 +109,12 @@ func (g *Gateway) Sessions() []SessionInfo {
 				ext = -1
 			}
 			out = append(out, SessionInfo{
-				Slot:     slot,
-				Shard:    sh.idx,
-				Link:     slot / g.lm,
-				Open:     sh.used[i],
-				Ext:      ext,
-				Rate:     sh.lastRates[i],
-				Queued:   sh.queues[i].Bits(),
-				Served:   sh.queues[i].Served(),
-				Changes:  sh.scheds[i].Changes(),
-				MaxDelay: sh.queues[i].MaxDelay(),
+				Slot:      slot,
+				Shard:     sh.idx,
+				Link:      slot / g.lm,
+				Open:      sh.used[i],
+				Ext:       ext,
+				SlotStats: sh.slots.Slot(i),
 			})
 		}
 		sh.mu.Unlock()

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"log/slog"
 	"runtime/pprof"
 	"strconv"
 	"time"
@@ -41,6 +42,11 @@ func (g *Gateway) tickLoop() {
 				g.tickWG.Wait()
 			}
 			round := time.Since(start)
+			var total bw.Rate
+			for _, r := range g.roundRate {
+				total += r
+			}
+			g.maxTotalRate = max(g.maxTotalRate, total)
 			g.m.tickRound.Observe(int64(round))
 			if len(g.shards) > 1 {
 				g.observeRoundSpread()
@@ -98,56 +104,48 @@ func (g *Gateway) tickWorker(w int) {
 // shardRound runs one allocation round on one shard, folds the result
 // into the shard's stripe of the gateway counters, and records the
 // shard's round duration (its tick histogram stripe, and roundDur for
-// the join-spread profile — the WaitGroup join orders that write before
-// the tick loop's read).
+// the join-spread profile) and total granted rate (roundRate, for the
+// running MaxTotalRate). The WaitGroup join orders those writes before
+// the tick loop's read.
 func (g *Gateway) shardRound(sh *shard, t bw.Tick) {
 	start := time.Now()
-	arrivedBits, servedBits, changes := sh.tick(t)
-	g.m.arrivedBits.Add(sh.idx, int64(arrivedBits))
-	g.m.servedBits.Add(sh.idx, int64(servedBits))
-	g.m.allocChanges.Add(sh.idx, changes)
+	arrived, served, changes, rate := sh.tick(t)
+	g.m.arrivedBits.Add(sh.idx, int64(arrived))
+	g.m.servedBits.Add(sh.idx, int64(served))
+	g.m.allocChanges.Add(sh.idx, int64(changes))
 	d := int64(time.Since(start))
 	g.m.tickShard.Observe(sh.idx, d)
 	g.roundDur[sh.idx] = d
+	g.roundRate[sh.idx] = rate
 }
 
-// tick runs one allocation round over this shard's slots: drain pending
-// arrivals into the queues, ask each link's allocator for rates, extend
-// the schedules, serve the queues, and count allocation changes — the
-// paper's cost measure. In multi-link mode (one shard, several links)
-// each allocator sees only its own slot range, and every rebalEvery
-// ticks a rebalance pass may migrate sessions between links.
+// tick runs one allocation round over this shard's slots on its
+// sim.Slots kernel: push pending arrivals into the queues, ask each
+// link's allocator for the rates of its slot range, serve, and count
+// allocation changes — the paper's cost measure. A round the kernel
+// rejects (a rate slice of the wrong length or with a negative entry)
+// is logged and serves nothing on that link. In multi-link mode (one
+// shard, several links) every rebalEvery ticks a rebalance pass may
+// migrate sessions between links.
 //
 // bwlint:hotpath
-func (sh *shard) tick(t bw.Tick) (arrivedBits, servedBits bw.Bits, changes int64) {
+func (sh *shard) tick(t bw.Tick) (arrived, served bw.Bits, changes int, rate bw.Rate) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for i := 0; i < sh.n; i++ {
-		sh.arrived[i] = sh.pending[i]
-		sh.pending[i] = 0
-		sh.queues[i].Push(t, sh.arrived[i])
-		sh.queued[i] = sh.queues[i].Bits()
-		arrivedBits += sh.arrived[i]
-	}
-	for l := 0; l < len(sh.allocs); l++ {
-		lo, hi := l*sh.lm, (l+1)*sh.lm
-		rates := sh.allocs[l].Rates(t, sh.arrived[lo:hi], sh.queued[lo:hi])
-		for i := 0; i < sh.lm && i < len(rates); i++ {
-			s := lo + i
-			r := rates[i]
-			if r < 0 {
-				r = 0
-			}
-			sh.scheds[s].Set(t, r)
-			servedBits += sh.queues[s].Serve(t, r)
-			if r != sh.lastRates[s] {
-				changes++
-				sh.lastRates[s] = r
-			}
+	arrived, _ = sh.slots.Arrive(t)
+	for l := range sh.allocs {
+		rd, err := sh.slots.Allocate(t, sh.allocs[l], l*sh.lm, (l+1)*sh.lm)
+		if err != nil {
+			sh.g.log.Log(slog.LevelError, "alloc", "gateway: allocator round rejected",
+				"shard", sh.idx, "link", l, "err", err) // bwlint:allocok cold: allocator contract violation, rate-limited
+			continue
 		}
+		served += rd.Served
+		changes += rd.Changes
+		rate += rd.Rate
 	}
 	if sh.g.rebalEvery > 0 && t > 0 && t%sh.g.rebalEvery == 0 && sh.g.router != nil {
 		sh.rebalance()
 	}
-	return arrivedBits, servedBits, changes
+	return arrived, served, changes, rate
 }

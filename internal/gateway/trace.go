@@ -143,7 +143,7 @@ func (g *Gateway) spanEnd(cs *connState, err error) {
 	g.spans.Push(s)
 }
 
-// kindName maps a wire type byte to its span label.
+// kindName maps a wire type byte to its span and message-counter label.
 func kindName(t byte) string {
 	switch t {
 	case typeOpen:
@@ -154,6 +154,10 @@ func kindName(t byte) string {
 		return "stats"
 	case typeClose:
 		return "close"
+	case typeTrace:
+		return "trace"
+	case typeBatch:
+		return "batch"
 	default:
 		return "unknown"
 	}

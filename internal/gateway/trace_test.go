@@ -185,7 +185,7 @@ func TestClientTraceEnvelope(t *testing.T) {
 }
 
 func TestNestedTraceEnvelopeIsProtocolViolation(t *testing.T) {
-	g := newBare(4)
+	g := newGateway(4, 1)
 	cs := &connState{owned: make(map[int]struct{})}
 	var in bytes.Buffer
 	in.WriteByte(typeTrace)
@@ -278,8 +278,8 @@ func TestProfileSnapshot(t *testing.T) {
 // at all relative to the uninstrumented gateway — the span scratch lives
 // in connState and the stage clock is plain time arithmetic.
 func TestHandleMessageUnsampledZeroAlloc(t *testing.T) {
-	bare := newBare(4)
-	instr := newBare(4)
+	bare := newGateway(4, 1)
+	instr := newGateway(4, 1)
 	instr.m = newGWMetrics(obs.NewRegistry(), "test", 1)
 	instr.spans = obs.NewSpanRing(64, StageNames())
 	instr.sampler = obs.NewSampler(obs.DefaultSampleEvery, 1)

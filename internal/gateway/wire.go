@@ -383,22 +383,47 @@ func (g *Gateway) handleBatch(r io.Reader, w io.Writer, cs *connState) error {
 //
 // bwlint:hotpath
 func (g *Gateway) batchData(r io.Reader, cs *connState) error {
-	if _, err := io.ReadFull(r, cs.scratch[:12]); err != nil {
+	id, bits, err := g.readData(r, cs)
+	if err != nil {
 		return err
 	}
-	g.spanMark(cs, stageRead)
-	id := int(binary.BigEndian.Uint32(cs.scratch[0:]))
-	bits := int64(binary.BigEndian.Uint64(cs.scratch[4:12]))
-	if _, ok := cs.owned[id]; !ok || bits < 0 {
-		// bwlint:allocok cold: protocol violation drops the connection
-		return fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, len(cs.owned))
-	}
-	cs.span.sess = id
 	si := g.shardOf(id).idx
 	// bwlint:allocok amortized: group capacity grows to the largest batch seen, then sticks (pooled)
 	cs.groups[si] = append(cs.groups[si], pendingAdd{id: int32(id), bits: bits})
 	g.spanMark(cs, stageDispatch)
 	return nil
+}
+
+// readOwned reads a message body of n bytes whose first four name a
+// session, marks the read stage, and requires that the connection owns
+// that session; op names the message in the protocol error.
+func (g *Gateway) readOwned(r io.Reader, cs *connState, n int, op string) (int, error) {
+	if _, err := io.ReadFull(r, cs.scratch[:n]); err != nil {
+		return 0, err
+	}
+	g.spanMark(cs, stageRead)
+	id := int(binary.BigEndian.Uint32(cs.scratch[:4]))
+	if _, ok := cs.owned[id]; !ok {
+		// bwlint:allocok cold: protocol violation drops the connection
+		return 0, fmt.Errorf("%w: %s session=%d (owns %d sessions)", errProtocol, op, id, len(cs.owned))
+	}
+	cs.span.sess = id
+	return id, nil
+}
+
+// readData reads and validates a DATA body: an owned session and a
+// non-negative bit count.
+func (g *Gateway) readData(r io.Reader, cs *connState) (int, int64, error) {
+	id, err := g.readOwned(r, cs, 12, "DATA")
+	if err != nil {
+		return 0, 0, err
+	}
+	bits := int64(binary.BigEndian.Uint64(cs.scratch[4:12]))
+	if bits < 0 {
+		// bwlint:allocok cold: protocol violation drops the connection
+		return 0, 0, fmt.Errorf("%w: DATA session=%d bits=%d", errProtocol, id, bits)
+	}
+	return id, bits, nil
 }
 
 // flushBatchData applies every accumulated batched-DATA group, one
@@ -422,7 +447,7 @@ func (g *Gateway) flushBatchData(cs *connState) {
 		}
 		sh.mu.Lock()
 		for _, a := range grp {
-			sh.pending[sh.slot(int(a.id))] += bw.Bits(a.bits)
+			sh.slots.Pending()[sh.slot(int(a.id))] += bw.Bits(a.bits)
 		}
 		sh.mu.Unlock()
 		if g.m.exchange != nil {
@@ -464,64 +489,41 @@ func (g *Gateway) applyMessage(r io.Reader, w io.Writer, cs *connState, typ byte
 		}
 		g.spanMark(cs, stageWrite)
 	case typeData:
-		if _, err := io.ReadFull(r, cs.scratch[:12]); err != nil {
+		id, bits, err := g.readData(r, cs)
+		if err != nil {
 			return err
 		}
-		g.spanMark(cs, stageRead)
-		id := int(binary.BigEndian.Uint32(cs.scratch[0:]))
-		bits := int64(binary.BigEndian.Uint64(cs.scratch[4:12]))
-		if _, ok := cs.owned[id]; !ok || bits < 0 {
-			// bwlint:allocok cold: protocol violation drops the connection
-			return fmt.Errorf("%w: DATA session=%d bits=%d (owns %d sessions)", errProtocol, id, bits, len(cs.owned))
-		}
-		cs.span.sess = id
 		sh := g.shardOf(id)
 		sh.mu.Lock()
 		g.spanMark(cs, stageDispatch)
-		sh.pending[sh.slot(id)] += bits
+		sh.slots.Pending()[sh.slot(id)] += bits
 		sh.mu.Unlock()
 		g.spanMark(cs, stageApply)
 	case typeStats:
-		if _, err := io.ReadFull(r, cs.scratch[:4]); err != nil {
+		id, err := g.readOwned(r, cs, 4, "STATS")
+		if err != nil {
 			return err
 		}
-		g.spanMark(cs, stageRead)
-		id := int(binary.BigEndian.Uint32(cs.scratch[:4]))
-		if _, ok := cs.owned[id]; !ok {
-			// bwlint:allocok cold: protocol violation drops the connection
-			return fmt.Errorf("%w: STATS session=%d (owns %d sessions)", errProtocol, id, len(cs.owned))
-		}
-		cs.span.sess = id
 		sh := g.shardOf(id)
 		sh.mu.Lock()
 		g.spanMark(cs, stageDispatch)
-		slot := sh.slot(id)
-		served := sh.queues[slot].Served()
-		queued := sh.queues[slot].Bits()
-		maxDelay := sh.queues[slot].MaxDelay()
-		changes := sh.scheds[slot].Changes()
+		st := sh.slots.Slot(sh.slot(id))
 		sh.mu.Unlock()
 		g.spanMark(cs, stageApply)
 		cs.scratch[0] = typeStatsR
-		binary.BigEndian.PutUint64(cs.scratch[1:], uint64(served))
-		binary.BigEndian.PutUint64(cs.scratch[9:], uint64(queued))
-		binary.BigEndian.PutUint64(cs.scratch[17:], uint64(maxDelay))
-		binary.BigEndian.PutUint64(cs.scratch[25:], uint64(changes))
+		binary.BigEndian.PutUint64(cs.scratch[1:], uint64(st.Served))
+		binary.BigEndian.PutUint64(cs.scratch[9:], uint64(st.Queued))
+		binary.BigEndian.PutUint64(cs.scratch[17:], uint64(st.MaxDelay))
+		binary.BigEndian.PutUint64(cs.scratch[25:], uint64(st.Changes))
 		if _, err := w.Write(cs.scratch[:statsReplyLen]); err != nil {
 			return err
 		}
 		g.spanMark(cs, stageWrite)
 	case typeClose:
-		if _, err := io.ReadFull(r, cs.scratch[:4]); err != nil {
+		id, err := g.readOwned(r, cs, 4, "CLOSE")
+		if err != nil {
 			return err
 		}
-		g.spanMark(cs, stageRead)
-		id := int(binary.BigEndian.Uint32(cs.scratch[:4]))
-		if _, ok := cs.owned[id]; !ok {
-			// bwlint:allocok cold: protocol violation drops the connection
-			return fmt.Errorf("%w: CLOSE session=%d (owns %d sessions)", errProtocol, id, len(cs.owned))
-		}
-		cs.span.sess = id
 		// Release before replying: a client that has read CLOSED may dial
 		// or OPEN again immediately and must find the slot free.
 		g.releaseSession(id)

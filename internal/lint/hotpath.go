@@ -47,12 +47,15 @@ type Hotpath struct {
 }
 
 // NewHotpath returns the check with the repo's required roots: the
-// sim.Runner/MultiRunner step paths, the FIFO queue, the schedule
+// sim.Runner/MultiRunner step paths, the sim.Slots tick kernel that
+// MultiRunner and every gateway shard share, the FIFO queue, the schedule
 // cursor/append path, and the gateway read/dispatch/apply/write path.
 func NewHotpath() *Hotpath {
 	return &Hotpath{Required: []string{
 		"dynbw/internal/sim.Runner.Run",
 		"dynbw/internal/sim.MultiRunner.Run",
+		"dynbw/internal/sim.Slots.Arrive",
+		"dynbw/internal/sim.Slots.Allocate",
 		"dynbw/internal/queue.FIFO.Push",
 		"dynbw/internal/queue.FIFO.Serve",
 		"dynbw/internal/bw.Schedule.Set",

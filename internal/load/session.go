@@ -52,8 +52,9 @@ func runSession(cfg Config, id int, res *SessionResult) {
 	res.Slot = sid
 	s.emit(obs.Event{Type: obs.EventSessionOpen, Session: int(sid), Rule: "swarm"})
 
-	// Baseline: a recycled slot keeps its queue accounting across
-	// tenants, so all served/changes figures are deltas from here.
+	// Baseline: served/changes figures are deltas from this first
+	// STATS. The gateway starts each session's accounting at zero, so
+	// the baseline is zero unless a tick ran in between.
 	base, err := m.Stats(sid)
 	if err != nil {
 		res.Err = fmt.Errorf("baseline stats: %w", err)

@@ -105,20 +105,19 @@ func (r *Runner) Run(tr *trace.Trace, alloc Allocator, opts Options) (*Result, e
 	return &r.res, nil
 }
 
-// MultiRunner is the k-session counterpart of Runner: the per-session
-// queues, schedules, scratch slices, and the aggregate schedule are all
-// reused across Run calls. The session count may change between runs;
-// storage grows to the largest k seen.
+// MultiRunner is the k-session counterpart of Runner: it steps the
+// Slots kernel over a trace and records every session's schedule. The
+// kernel, the schedules and the aggregate schedule are all reused across
+// Run calls. The session count may change between runs; storage grows to
+// the largest k seen.
 //
 // The returned MultiResult and every schedule it references are owned by
 // the MultiRunner and valid only until the next Run. The zero value is
 // ready to use; not safe for concurrent use.
 type MultiRunner struct {
-	queues     []queue.FIFO
+	slots      Slots
 	schedStore []bw.Schedule
 	scheds     []*bw.Schedule
-	arrived    []bw.Bits
-	queued     []bw.Bits
 	delays     []bw.Tick
 	total      bw.Schedule
 	res        MultiResult
@@ -130,22 +129,16 @@ func NewMultiRunner() *MultiRunner { return &MultiRunner{} }
 // size readies the per-session storage for k sessions, growing if needed
 // and resetting whatever is reused.
 func (r *MultiRunner) size(k int) {
+	r.slots.Reset(k)
 	if cap(r.schedStore) < k {
-		r.queues = make([]queue.FIFO, k)      // bwlint:allocok once per k growth, reused across runs
 		r.schedStore = make([]bw.Schedule, k) // bwlint:allocok once per k growth, reused across runs
 		r.scheds = make([]*bw.Schedule, k)    // bwlint:allocok once per k growth, reused across runs
-		r.arrived = make([]bw.Bits, k)        // bwlint:allocok once per k growth, reused across runs
-		r.queued = make([]bw.Bits, k)         // bwlint:allocok once per k growth, reused across runs
 		r.delays = make([]bw.Tick, k)         // bwlint:allocok once per k growth, reused across runs
 	}
-	r.queues = r.queues[:k]
 	r.schedStore = r.schedStore[:k]
 	r.scheds = r.scheds[:k]
-	r.arrived = r.arrived[:k]
-	r.queued = r.queued[:k]
 	r.delays = r.delays[:k]
 	for i := 0; i < k; i++ {
-		r.queues[i].Reset()
 		r.schedStore[i].Reset()
 		r.scheds[i] = &r.schedStore[i]
 	}
@@ -153,7 +146,10 @@ func (r *MultiRunner) size(k int) {
 }
 
 // Run simulates the allocator on k parallel sessions, exactly like the
-// package function RunMulti but reusing the MultiRunner's storage.
+// package function RunMulti but reusing the MultiRunner's storage. Each
+// tick writes the trace's arrivals into the kernel's pending buffer and
+// runs one round; once the trace has ended, the run stops at the first
+// tick whose queues are all empty, before the allocator is asked.
 //
 // bwlint:hotpath
 func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*MultiResult, error) {
@@ -162,55 +158,33 @@ func (r *MultiRunner) Run(m *trace.Multi, alloc MultiAllocator, opts Options) (*
 	limit := n + opts.drainBudget(n)
 	r.size(k)
 
-	t := bw.Tick(0)
-	for ; t < limit; t++ {
-		var pending bw.Bits
-		for i := 0; i < k; i++ {
-			r.arrived[i] = m.Session(i).At(t)
-			r.queues[i].Push(t, r.arrived[i])
-			r.queued[i] = r.queues[i].Bits()
-			pending += r.queued[i]
+	pending := r.slots.Pending()
+	for t := bw.Tick(0); t < limit; t++ {
+		for i := range pending {
+			pending[i] = m.Session(i).At(t)
 		}
-		if t >= n && pending == 0 {
+		if _, queued := r.slots.Arrive(t); t >= n && queued == 0 {
 			break
 		}
-		rates := alloc.Rates(t, r.arrived, r.queued)
-		if len(rates) != k {
-			// bwlint:allocok cold: allocator contract violation aborts the run
-			return nil, fmt.Errorf("sim: allocator returned %d rates, want %d", len(rates), k)
+		rd, err := r.slots.Allocate(t, alloc, 0, k)
+		if err != nil {
+			return nil, err
 		}
-		for i, rate := range rates {
-			if rate < 0 {
-				// bwlint:allocok cold: allocator contract violation aborts the run
-				return nil, fmt.Errorf("sim: session %d negative rate %d at tick %d", i, rate, t)
-			}
+		for i, rate := range rd.Rates {
 			r.scheds[i].Set(t, rate)
-			r.queues[i].Serve(t, rate)
 		}
 	}
-	var left bw.Bits
-	for i := range r.queues {
-		left += r.queues[i].Bits()
-	}
-	if left > 0 {
+	tot := r.slots.Totals()
+	if tot.Queued > 0 {
 		// bwlint:allocok cold: drain failure aborts the run
-		return nil, fmt.Errorf("%w: %d bits left after %d ticks", ErrQueueNeverDrained, left, limit)
+		return nil, fmt.Errorf("%w: %d bits left after %d ticks", ErrQueueNeverDrained, tot.Queued, limit)
 	}
-
-	var (
-		maxDelay bw.Tick
-		served   bw.Bits
-	)
-	for i := range r.queues {
-		r.delays[i] = r.queues[i].MaxDelay()
-		if r.delays[i] > maxDelay {
-			maxDelay = r.delays[i]
-		}
-		served += r.queues[i].Served()
+	for i := range r.delays {
+		r.delays[i] = r.slots.Slot(i).MaxDelay
 	}
 	bw.SumInto(&r.total, r.scheds...)
 	agg := m.Aggregate()
-	delay := metrics.DelayStats{Max: maxDelay, Served: served}
+	delay := metrics.DelayStats{Max: tot.MaxDelay, Served: tot.Served}
 	r.res = MultiResult{
 		Sessions:      r.scheds,
 		Total:         &r.total,
